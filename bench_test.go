@@ -21,12 +21,11 @@ import (
 )
 
 // benchWorkers reads the CHOPIM_BENCH_WORKERS knob (default 1) that
-// scripts/bench.sh sweeps to record the parallel-executor trajectory:
-// figure benchmarks apply it as point-level sharding
-// (Options.Parallel), single-simulation benchmarks as channel-domain
-// workers (sim.Config.SimWorkers). Speedup from either layer requires
-// free CPUs — on a single-CPU machine both settings measure overhead,
-// which the snapshot records honestly.
+// scripts/bench.sh sweeps to record the point-sharding trajectory:
+// figure benchmarks apply it as Options.Parallel. Single-simulation
+// benchmarks run serially regardless. Speedup requires free CPUs — on
+// a single-CPU machine the setting measures overhead, which the
+// snapshot records honestly.
 func benchWorkers() int {
 	if v := os.Getenv("CHOPIM_BENCH_WORKERS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
@@ -113,30 +112,11 @@ func BenchmarkNDAOnlySweepFastParallel(b *testing.B) {
 // zero (the steady-state loop is pooled end to end —
 // TestTickLoopAllocFree pins the same property).
 func BenchmarkMixedHostNDA(b *testing.B) {
-	benchMixedHostNDA(b, benchWorkers())
-}
-
-// BenchmarkMixedHostNDAWorkers4 is the same workload with the
-// sim-internal executor forced to 4 workers regardless of
-// CHOPIM_BENCH_WORKERS. It rides in the serial suite so that
-// scripts/bench.sh's overhead gate (executor cost on machines without
-// free CPUs, <=1.15x serial; see the threshold history there)
-// compares two numbers from the same go test invocation, seconds
-// apart; comparing the serial run against the separate
-// CHOPIM_BENCH_WORKERS=4 invocation minutes later turned the gate
-// into a load-era lottery on shared single-CPU containers.
-func BenchmarkMixedHostNDAWorkers4(b *testing.B) {
-	benchMixedHostNDA(b, 4)
-}
-
-func benchMixedHostNDA(b *testing.B, workers int) {
 	const measureCycles = 100_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := sim.Default(1)
-		cfg.SimWorkers = workers
-		s, err := sim.New(cfg)
+		s, err := sim.New(sim.Default(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +136,6 @@ func benchMixedHostNDA(b *testing.B, workers int) {
 		if h.Done() {
 			b.Fatal("NDA op finished inside the measured window")
 		}
-		s.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
@@ -185,7 +164,6 @@ func BenchmarkMixedHostNDACheckpointed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := sim.Default(1)
-		cfg.SimWorkers = benchWorkers()
 		s, err := sim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -227,7 +205,6 @@ func BenchmarkMixedHostNDACheckpointed(b *testing.B) {
 		if _, err := os.Stat(path); err != nil {
 			b.Fatal("checkpoint write never landed:", err)
 		}
-		s.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
@@ -252,7 +229,6 @@ func BenchmarkFig14Wide8Ranks(b *testing.B) {
 		g := dram.DefaultGeometry()
 		g.Ranks = 8
 		cfg.Geom = g
-		cfg.SimWorkers = benchWorkers()
 		s, err := sim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -274,7 +250,6 @@ func BenchmarkFig14Wide8Ranks(b *testing.B) {
 		if h.Done() {
 			b.Fatal("NDA op finished inside the measured window")
 		}
-		s.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
@@ -293,7 +268,6 @@ func BenchmarkHostStallHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := sim.Default(-1)
-		cfg.SimWorkers = benchWorkers()
 		p := workload.StallHeavy()
 		cfg.HostProfiles = []workload.Profile{p, p, p, p}
 		s, err := sim.New(cfg)
@@ -308,9 +282,6 @@ func BenchmarkHostStallHeavy(b *testing.B) {
 		s.RunFast(150_000)
 		b.StartTimer()
 		s.RunFast(measureCycles)
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
 }
@@ -320,8 +291,8 @@ func BenchmarkHostStallHeavy(b *testing.B) {
 // whose issue groups are mostly free of memory instructions, with no NDA
 // traffic, through the production RunFast loop. An active core pins
 // NextEvent to now, so every DRAM tick executes and the cost is almost
-// entirely the CPU-credit loop — the Amdahl term of the channel-domain
-// executor. The window-batched retirement path collapses the
+// entirely the CPU-credit loop. The window-batched retirement path
+// collapses the
 // compute-bound issue groups arithmetically; allocs/op must stay zero.
 func BenchmarkHostComputeHeavy(b *testing.B) {
 	const measureCycles = 100_000
@@ -329,7 +300,6 @@ func BenchmarkHostComputeHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := sim.Default(-1)
-		cfg.SimWorkers = benchWorkers()
 		p := workload.ComputeHeavy()
 		cfg.HostProfiles = []workload.Profile{p, p, p, p}
 		s, err := sim.New(cfg)
@@ -339,9 +309,6 @@ func BenchmarkHostComputeHeavy(b *testing.B) {
 		s.RunFast(50_000)
 		b.StartTimer()
 		s.RunFast(measureCycles)
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
 }

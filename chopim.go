@@ -10,12 +10,12 @@
 // figure of the paper's evaluation. Implementation subsystems live under
 // internal/; see DESIGN.md for the full inventory.
 //
-// The simulator is organized as channel-sharded execution domains:
-// each DRAM channel's controller, device timing state, and rank NDAs
-// form one domain, and the fast path (RunFast) can tick due domains on
-// concurrent worker goroutines (Config.SimWorkers; DESIGN.md §2.5).
-// Results are bit-identical for every worker count; call System.Close
-// to release the workers of a parallel system when done.
+// The simulator is organized as channel domains: each DRAM channel's
+// controller, device timing state, and rank NDAs form one domain, and
+// every tick runs the domains' memory phase, then a cross-channel
+// commit in canonical order, then the CPU front-end (DESIGN.md §2.5).
+// One simulation runs serially on the caller's goroutine; the
+// experiment harness parallelizes across independent simulations.
 //
 // Quickstart:
 //

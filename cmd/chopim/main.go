@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-sim-workers N]
-//	       [-profile-domains] [-cache-dir D] [-checkpoint D [-resume]]
+//	chopim [-quick] [-warm N] [-measure N] [-parallel N]
+//	       [-cache-dir D] [-checkpoint D [-resume]]
 //	       [-checkpoint-every N] [-on-interrupt=checkpoint|drain|abort]
 //	       [-check-invariants] [-deadline D] [-point-retries N] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
@@ -23,22 +23,8 @@
 // either flag reports cache hits/misses and resumed points at exit.
 //
 // -parallel N shards each figure's independent simulation points across
-// N workers (-1 = all CPUs). -sim-workers N additionally parallelizes
-// *within* each simulation point: every executed tick fans its
-// per-channel memory phase AND the core-local part of every CPU
-// sub-cycle of the front-end across N goroutines (see DESIGN.md §2.5
-// and §2.10). Tables are identical for every setting of both flags;
-// they compose, but multiplying them oversubscribes small machines, so
-// raise one at a time.
-//
-// -profile-domains records each executed tick's per-channel memory-phase
-// span and front-end span (cheap counters inside the simulator;
-// sim.Config.ProfileDomains), splitting every CPU sub-cycle into its
-// core-local part and its serial shared-commit part, and prints the
-// aggregated power-of-two histograms after the experiment — the quick
-// way to see whether a workload is bounded by one hot channel, by the
-// sub-cycle commit loop, or by neither before reaching for
-// -sim-workers.
+// N workers (-1 = all CPUs). Each point runs serially on its worker
+// (DESIGN.md §2.5), and tables are identical for every setting.
 //
 // Robustness flags: -check-invariants arms the simulator's cross-layer
 // conservation checker on every point (results are bit-identical with
@@ -61,7 +47,8 @@
 // a second signal force-exits immediately.
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
-// experiment (see README.md, "Profiling").
+// experiment; per-package attribution of a benchmark workload comes
+// from perfbench/run.py --trace 1 (see README.md, "Profiling").
 package main
 
 import (
@@ -104,11 +91,8 @@ func run() (code int) {
 	warm := flag.Int64("warm", 0, "warm-up cycles (0 = default)")
 	measure := flag.Int64("measure", 0, "measurement cycles (0 = default)")
 	parallel := flag.Int("parallel", -1, "workers for independent simulation points (-1 = all CPUs, 1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1, "workers inside each simulation, fanning channel domains and the core-sharded CPU front-end (1 = inline, -1 = all CPUs, clamped to max(channels, cores))")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	profileDomains := flag.Bool("profile-domains", false,
-		"record per-channel memory-phase and serial front-end tick spans and print the histograms after the experiment")
 	cacheDir := flag.String("cache-dir", "",
 		"content-addressed figure result cache: replay figures whose options fingerprint matches a stored entry, store the rest")
 	checkpoint := flag.String("checkpoint", "",
@@ -188,11 +172,6 @@ func run() (code int) {
 		opt.MeasureCycles = *measure
 	}
 	opt.Parallel = *parallel
-	opt.SimWorkers = *simWorkers
-	opt.ProfileDomains = *profileDomains
-	if *profileDomains {
-		defer printPhaseSpans()
-	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintf(os.Stderr, "chopim: -resume requires -checkpoint DIR (the journals to resume from)\n")
 		return 2
@@ -349,72 +328,6 @@ func printSweepHealth() {
 		fmt.Fprintf(os.Stderr, "interrupt: %d points canceled, %d checkpoints written, %d points resumed mid-flight\n",
 			st.Canceled, st.CkptWrites, st.CkptRestores)
 	}
-}
-
-// printPhaseSpans renders the -profile-domains histograms: span counts
-// per power-of-two-nanosecond bucket, one row per channel domain plus
-// the per-tick front-end and its per-sub-cycle split — the core-local
-// part (front-local: what SimWorkers parallelizes) and the serial
-// commit part (front-shared: deferred shared-path accesses plus
-// probe-stall retries). The executor's per-round ceiling is the
-// slowest domain or core, so a single hot channel row — or a
-// front-shared row dominating front-local — says where SimWorkers
-// scaling stops.
-func printPhaseSpans() {
-	p := experiments.ReadPhaseSpans()
-	if len(p.Domains) == 0 {
-		fmt.Println("\nprofile-domains: no fast-path ticks recorded")
-		return
-	}
-	// Trim to the occupied bucket range across all rows.
-	lo, hi := len(p.Front), 0
-	rows := append(append([][]int64{}, p.Domains...), p.Front, p.FrontLocal, p.FrontShared)
-	for _, hist := range rows {
-		for b, n := range hist {
-			if n > 0 {
-				if b < lo {
-					lo = b
-				}
-				if b > hi {
-					hi = b
-				}
-			}
-		}
-	}
-	if lo > hi {
-		fmt.Println("\nprofile-domains: no fast-path ticks recorded")
-		return
-	}
-	fmt.Println("\nprofile-domains: executed-tick phase spans (count per <=2^k ns bucket)")
-	w := tw()
-	fmt.Fprint(w, "phase")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t2^%d", b)
-	}
-	fmt.Fprintln(w)
-	for d, hist := range p.Domains {
-		fmt.Fprintf(w, "ch%d-memory", d)
-		for b := lo; b <= hi; b++ {
-			fmt.Fprintf(w, "\t%d", hist[b])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprint(w, "front-end")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.Front[b])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "front-local")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.FrontLocal[b])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "front-shared")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.FrontShared[b])
-	}
-	fmt.Fprintln(w)
-	w.Flush()
 }
 
 func runFig2(opt experiments.Options) error {

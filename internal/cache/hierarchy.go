@@ -12,11 +12,6 @@ const (
 	Queued
 	// Stall: no MSHR or controller queue space; the caller must retry.
 	Stall
-	// Defer: returned only by AccessLocal — the access needs the shared
-	// LLC/MSHR layer and must be replayed through Access at the caller's
-	// commit point. The hierarchy is left bit-identical to the state
-	// AccessLocal found (the same rollback discipline as Stall).
-	Defer
 )
 
 // Backend is the memory system below the LLC. It operates in DRAM cycles.
@@ -114,22 +109,8 @@ type Hierarchy struct {
 	// content and MSHR/queue occupancy, which only shared-path accesses
 	// and fills move. An L2 hit whose cascade spills a dirty L2 victim
 	// into the LLC DOES advance ver (it changed LLC content and may
-	// have queued a writeback). This narrowing is also what makes L2
-	// hits commutable across cores: AccessLocal commits them
-	// core-locally with no epoch traffic at all.
+	// have queued a writeback).
 	ver uint64
-
-	// deferMiss[core] memoizes, between an AccessLocal that returned
-	// Defer and the AccessReplay that commits it, that the access
-	// provably misses the core's private L1 and L2 — so the replay can
-	// apply the two miss lookups arithmetically instead of re-scanning
-	// the sets. Sound because nothing can move a core's private caches
-	// in that window: only the core itself touches them, the core is
-	// parked on this very access, and the hierarchy performs no
-	// cross-core back-invalidation. Transient within one CPU sub-cycle
-	// (always false at quiescence, so snapshots ignore it); per-core
-	// slots, so parallel AccessLocal calls write disjoint elements.
-	deferMiss []bool
 }
 
 // Ver returns the hierarchy mutation counter (see ver).
@@ -185,7 +166,6 @@ func NewHierarchy(cfg HierarchyConfig, backend Backend, clock Clock) *Hierarchy 
 		maxWaiters: cfg.Cores * cfg.L1.MSHRs,
 		l1Pending:  make([]int, cfg.Cores),
 		prefetch:   make([]strideState, cfg.Cores),
-		deferMiss:  make([]bool, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, New(cfg.L1))
@@ -232,17 +212,9 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 		}
 		return Hit, h.cfg.L2.LatencyCPU
 	}
-	return h.accessShared(core, addr, b, write, slot, done)
-}
-
-// accessShared is the shared-layer tail of Access: everything below the
-// private L1/L2, entered after both missed (their Lookup effects already
-// applied). Split out so AccessReplay can enter it directly when
-// AccessLocal already proved — and rolled back — the private misses.
-func (h *Hierarchy) accessShared(core int, addr uint64, b uint64, write bool, slot int, done func(cpuDone int64)) (Result, int64) {
 	h.ver++ // rolled back on Stall; every deeper outcome mutates shared state
 	if h.llc.Lookup(b, write) {
-		h.fill(core, b, write, h.l1[core], h.l2[core])
+		h.fill(core, b, write, l1, l2)
 		return Hit, h.cfg.LLC.LatencyCPU
 	}
 
@@ -300,79 +272,10 @@ func (h *Hierarchy) stall(core int) (Result, int64) {
 	return Stall, 0
 }
 
-// AccessLocal is the core-local half of the split Access API used by
-// the parallel CPU front-end (DESIGN.md §2.10). It attempts core's
-// access against the private L1/L2 only and commits it there when it
-// provably never touches shared state: a pure L1 hit, or an L2 hit
-// whose fill cascade stays inside the core's own L1/L2 (classified by
-// a side-effect-free probe of both victim chains BEFORE any mutation).
-// Every other access — LLC probe, MSHR merge/alloc, Stall
-// classification, backend read, or an L2 hit whose cascade would spill
-// a dirty victim into the LLC — returns Defer with the hierarchy
-// bit-identical to the state it found; the caller replays it through
-// Access at its commit point. Because committed-local outcomes mutate
-// only h.l1[core] and h.l2[core] and never move ver, distinct cores'
-// AccessLocal calls commute with each other and with any other core's
-// full Access — the soundness base of the core-sharded sub-cycle.
-func (h *Hierarchy) AccessLocal(core int, addr uint64, write bool) (Result, int64) {
-	b := h.block(addr)
-	l1 := h.l1[core]
-	if l1.Lookup(b, write) {
-		return Hit, h.cfg.L1.LatencyCPU
-	}
-	l2 := h.l2[core]
-	if !l2.Contains(b) {
-		l1.unMiss()
-		h.deferMiss[core] = true // both private levels provably miss
-		return Defer, 0
-	}
-	if !h.l2FillPrivate(core, b) {
-		l1.unMiss()
-		return Defer, 0 // L2 hit with a spilling cascade: replay in full
-	}
-	l2.Lookup(b, write) // contained above, so this commits a hit
-	if h.fillFromL2(core, b, write) {
-		panic("cache: private-classified L2 fill reached the LLC")
-	}
-	return Hit, h.cfg.L2.LatencyCPU
-}
-
-// AccessReplay commits a deferred access: it is Access, exactly, for
-// the one access an immediately preceding AccessLocal returned Defer
-// for. When that AccessLocal proved the private levels miss (deferMiss),
-// the replay applies the two miss lookups arithmetically and enters the
-// shared tail directly — the probes are guaranteed to repeat their
-// outcome, so re-scanning the sets would only burn the cycles the split
-// front-end is trying to save. Otherwise (an L2 hit whose cascade
-// spills into the LLC) it falls through to the full Access.
-func (h *Hierarchy) AccessReplay(core int, addr uint64, write bool, slot int, done func(cpuDone int64)) (Result, int64) {
-	if !h.deferMiss[core] {
-		return h.Access(core, addr, write, slot, done)
-	}
-	h.deferMiss[core] = false
-	h.l1[core].missLookup()
-	h.l2[core].missLookup()
-	return h.accessShared(core, addr, h.block(addr), write, slot, done)
-}
-
-// l2FillPrivate reports whether an L2 hit on b would keep its fill
-// cascade inside core's private L1/L2: the L1's victim for b is clean
-// (cascade ends at the L1 insert) or lands in the core's own L2
-// without spilling a dirty L2 victim. The L2 victim probe treats b as
-// MRU because the real cascade runs after the L2 hit touches b.
-func (h *Hierarchy) l2FillPrivate(core int, b uint64) bool {
-	v, d := h.l1[core].dirtyVictim(b, 0, false)
-	if !d {
-		return true
-	}
-	_, d = h.l2[core].dirtyVictim(v, b, true)
-	return !d
-}
-
 // fillFromL2 propagates an L2 hit on b into core's L1, cascading the
 // castouts (exactly fill(core, b, dirty, l1, nil)), and reports whether
 // the cascade reached the shared LLC — the ver classification Access
-// and AccessLocal both key on.
+// keys on.
 func (h *Hierarchy) fillFromL2(core int, b uint64, dirty bool) bool {
 	if v, vd := h.l1[core].Insert(b, dirty); vd {
 		if ev, evd := h.l2[core].Insert(v, true); evd {

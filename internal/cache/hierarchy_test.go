@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // fakeBackend records requests and completes reads on demand.
 type fakeBackend struct {
@@ -271,57 +267,5 @@ func TestProbeRetrySkipAcrossPrivateL2Hits(t *testing.T) {
 	}
 	if h.Ver() == v0 {
 		t.Fatal("shared-path access left the epoch unmoved")
-	}
-}
-
-// TestAccessLocalMatchesAccess differentially pins the split API
-// (DESIGN.md §2.10): replaying a random two-core access stream through
-// AccessLocal-then-AccessReplay-on-Defer (the split front-end's exact
-// commit sequence, including the memoized private-miss skip) must leave
-// a hierarchy bit-identical to replaying it through Access alone — same
-// results and latencies, same hit/miss counters, same epoch, same
-// backend traffic. Prefetch stays enabled so deferred demand accesses
-// merge into in-flight prefetch MSHRs.
-func TestAccessLocalMatchesAccess(t *testing.T) {
-	build := func() (*Hierarchy, *fakeBackend) {
-		b := &fakeBackend{}
-		return NewHierarchy(DefaultHierarchyConfig(2), b, fixedClock{}), b
-	}
-	ha, ba := build()
-	hb, bb := build()
-	snap := func(h *Hierarchy, b *fakeBackend) string {
-		out := ""
-		for c := 0; c < 2; c++ {
-			out += fmt.Sprintf("l1[%d]=%d/%d l2[%d]=%d/%d ", c, h.l1[c].Hits, h.l1[c].Misses, c, h.l2[c].Hits, h.l2[c].Misses)
-		}
-		return out + fmt.Sprintf("llc=%d/%d ver=%d demand=%d pref=%d reads=%d writes=%d",
-			h.llc.Hits, h.llc.Misses, h.Ver(), h.Demand, h.Prefetches, len(b.reads), len(b.writes))
-	}
-	rng := rand.New(rand.NewSource(0xACCE55))
-	for i := 0; i < 20_000; i++ {
-		core := rng.Intn(2)
-		addr := uint64(rng.Intn(1<<20)) &^ 7
-		write := rng.Intn(4) == 0
-		ra, la := ha.Access(core, addr, write, 0, nil)
-		rb, lb := hb.AccessLocal(core, addr, write)
-		if rb == Defer {
-			rb, lb = hb.AccessReplay(core, addr, write, 0, nil)
-		}
-		if ra != rb || la != lb {
-			t.Fatalf("access %d (core %d addr %#x write %v): Access=%v/%d split=%v/%d",
-				i, core, addr, write, ra, la, rb, lb)
-		}
-		if i%512 == 0 {
-			ba.completeAll(int64(i))
-			bb.completeAll(int64(i))
-			if sa, sb := snap(ha, ba), snap(hb, bb); sa != sb {
-				t.Fatalf("state diverged at access %d:\n direct: %s\n split:  %s", i, sa, sb)
-			}
-		}
-	}
-	ba.completeAll(1 << 30)
-	bb.completeAll(1 << 30)
-	if sa, sb := snap(ha, ba), snap(hb, bb); sa != sb {
-		t.Fatalf("final state diverged:\n direct: %s\n split:  %s", sa, sb)
 	}
 }

@@ -48,9 +48,7 @@ type mshrState struct {
 // waiters, per-core L1 MSHR occupancy, prefetch stride detectors, and
 // counters. Fill callbacks are not serialized — restored MSHRs get
 // fresh pool nodes whose closures are equivalent, and controller-queue
-// restore reattaches reads to them through FillFor. The deferMiss
-// scratch is transient within one CPU sub-cycle and always false at
-// the quiescent points snapshots are taken, so it is excluded.
+// restore reattaches reads to them through FillFor.
 type HierarchyState struct {
 	l1, l2     []cacheState
 	llc        cacheState

@@ -101,19 +101,6 @@ type Core struct {
 	wake       int64
 	dirty      bool
 
-	// Deferred-cycle state for the core-sharded front-end (DESIGN.md
-	// §2.10). A TickDeferred cycle issues through the hierarchy's
-	// core-local path (AccessLocal); when the issue group reaches an
-	// access that needs the shared layer, the cycle parks mid-group
-	// (deferMode/deferPend are the in-flight flags, defIssued/defR0 the
-	// resume state) and FinishTick completes it at the caller's commit
-	// barrier. All four fields are transient within one CPU sub-cycle —
-	// zero whenever the core is quiescent — so snapshots ignore them.
-	deferMode bool
-	deferPend bool
-	defIssued int
-	defR0     int64
-
 	Retired int64
 	Cycles  int64
 }
@@ -367,58 +354,11 @@ func (c *Core) Tick(now int64) {
 	c.Cycles++
 	r0 := c.Retired
 	c.retire(now)
-	c.probeStall = false
-	issued, _ := c.issueFrom(0, now)
-	c.endCycle(now, r0, issued)
-}
-
-// TickDeferred runs one CPU cycle touching only core-local state: the
-// issue group goes through cache.AccessLocal, and the first instruction
-// that needs the shared LLC/MSHR layer parks the cycle mid-group
-// instead. It reports whether the cycle parked; the caller MUST then
-// call FinishTick(now) at its commit barrier before the next sub-cycle
-// (the blocked-state bookkeeping of the cycle has not run yet). A
-// false return means the cycle completed entirely core-locally and is
-// bit-identical to Tick(now).
-func (c *Core) TickDeferred(now int64) bool {
-	if c.pend > 0 {
-		c.materialize()
-	}
-	c.Cycles++
-	c.defR0 = c.Retired
-	c.retire(now)
-	c.probeStall = false
-	c.deferMode = true
-	issued, parked := c.issueFrom(0, now)
-	c.deferMode = false
-	if parked {
-		c.defIssued = issued
-		return true
-	}
-	c.endCycle(now, c.defR0, issued)
-	return false
-}
-
-// FinishTick completes a parked TickDeferred cycle: the deferred
-// access replays through the full shared path, the issue group
-// continues from where it parked, and the cycle's blocked-state
-// bookkeeping runs. Called in canonical core order, it lands every
-// shared-state effect exactly where the serial interleaving would.
-func (c *Core) FinishTick(now int64) {
-	c.deferPend = false
-	issued, _ := c.issueFrom(c.defIssued, now)
-	c.endCycle(now, c.defR0, issued)
-}
-
-// endCycle is the zero-progress classification shared by Tick,
-// TickDeferred, and FinishTick: a cycle that neither retired nor
-// issued leaves the core provably stuck until its wake (or an external
-// mutation, for probe stalls).
-func (c *Core) endCycle(now, r0 int64, issued int) {
-	if issued > 0 || c.Retired != r0 {
+	if c.issue(now) || c.Retired != r0 {
 		c.blocked, c.dirty = false, false
 		return
 	}
+	// Zero progress: record why, and the earliest self-known wake.
 	c.blocked = true
 	c.dirty = false
 	c.wake = dram.Never
@@ -448,13 +388,12 @@ func (c *Core) retire(now int64) {
 	}
 }
 
-// issueFrom runs the issue loop with issued instructions already
-// placed this cycle (nonzero only when FinishTick resumes a deferred
-// group). It returns the total issue count and whether the group
-// parked on a deferred shared-path access (deferMode only). The parked
-// instruction sits in stalled/hasStall either way — a deferral resumes
-// from there exactly like a structural-hazard retry would.
-func (c *Core) issueFrom(issued int, now int64) (int, bool) {
+// issue runs the cycle's issue loop and reports whether anything issued.
+// An instruction that cannot issue waits in stalled/hasStall for the
+// next cycle.
+func (c *Core) issue(now int64) bool {
+	c.probeStall = false
+	issued := 0
 	for ; issued < c.cfg.Width && c.n < len(c.rob); issued++ {
 		var in Instr
 		if c.hasStall {
@@ -466,25 +405,20 @@ func (c *Core) issueFrom(issued int, now int64) (int, bool) {
 			// Dependency chain head: wait for the next cycle.
 			c.stalled = in
 			c.hasStall = true
-			return issued, false
+			return true
 		}
 		if !c.tryIssue(in, now) {
 			c.stalled = in
 			c.hasStall = true
-			if c.deferPend {
-				return issued, true
-			}
-			return issued, false
+			return issued > 0
 		}
 		c.hasStall = false
 	}
-	return issued, false
+	return issued > 0
 }
 
 // tryIssue places one instruction into the ROB, accessing memory if
-// needed. It returns false if a structural hazard requires a retry, or
-// — in deferMode, signaled via deferPend — if the access must wait for
-// the commit barrier.
+// needed. It returns false if a structural hazard requires a retry.
 func (c *Core) tryIssue(in Instr, now int64) bool {
 	slot := c.head + c.n
 	if slot >= len(c.rob) {
@@ -501,21 +435,7 @@ func (c *Core) tryIssue(in Instr, now int64) bool {
 	if c.loads+c.stores >= c.cfg.LSQSize {
 		return false
 	}
-	var res cache.Result
-	var lat int64
-	if c.deferMode {
-		res, lat = c.hier.AccessLocal(c.ID, in.Addr, in.Write)
-		if res == cache.Defer {
-			c.deferPend = true
-			return false
-		}
-	} else {
-		// AccessReplay is Access, except that it skips the private-level
-		// re-probes when this is the commit of an access AccessLocal just
-		// proved misses them (it falls through to Access otherwise, so the
-		// plain serial Tick path is unaffected).
-		res, lat = c.hier.AccessReplay(c.ID, in.Addr, in.Write, slot, c.doneFns[slot])
-	}
+	res, lat := c.hier.Access(c.ID, in.Addr, in.Write, slot, c.doneFns[slot])
 	switch res {
 	case cache.Stall:
 		c.probeStall = true

@@ -1,6 +1,6 @@
 // Content-addressed result cache and sweep-resume journals. Figures are
-// pure functions of their options (the runner and executor prove
-// bit-identical tables for every worker count), so a figure's rows can
+// pure functions of their options (the runner proves bit-identical
+// tables for every worker count), so a figure's rows can
 // be cached under a hash of everything they depend on and replayed
 // without simulating. Long sweeps additionally journal each completed
 // point as it finishes, so an interrupted run resumes at the last
@@ -32,8 +32,8 @@ const cacheSchema = "chopim-results-v1"
 // cacheKey fingerprints everything a figure's rows depend on: the model
 // version, the figure name, and the options that select simulated
 // behavior. Parallel and SimWorkers are deliberately excluded — results
-// are bit-identical for any worker count at either layer — as is
-// ProfileDomains, which only observes.
+// are bit-identical for any point-level worker count, and SimWorkers
+// selects nothing.
 func (o Options) cacheKey(fig string) string {
 	k := struct {
 		Schema        string

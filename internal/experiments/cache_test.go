@@ -47,11 +47,11 @@ func TestFigureCacheRoundTrip(t *testing.T) {
 	if opt2.cacheKey("fig2") == opt.cacheKey("fig2") {
 		t.Fatal("cache key ignores MeasureCycles")
 	}
-	// Worker counts must NOT key differently (results are identical).
+	// The worker count must NOT key differently (results are identical).
 	opt3 := opt
-	opt3.Parallel, opt3.SimWorkers = 7, 3
+	opt3.Parallel = 7
 	if opt3.cacheKey("fig2") != opt.cacheKey("fig2") {
-		t.Fatal("cache key depends on worker counts")
+		t.Fatal("cache key depends on the worker count")
 	}
 }
 

@@ -72,18 +72,11 @@ var ckptSyncWrites bool
 
 // pointCkptKey fingerprints everything a mid-point checkpoint's state
 // depends on: the model version, the point's full simulation config
-// with the state-free knobs zeroed (as warmPoolKey), the cycle budget,
+// with the state-free knobs zeroed (sim.StateConfig), the cycle budget,
 // and the caller's point tag — the discriminator for sweeps whose
 // points share a config but differ in workload (the NDA-only op sweep
 // runs eight ops over one config).
 func pointCkptKey(cfg sim.Config, opt Options) (string, bool) {
-	cfg.SimWorkers = 0
-	cfg.ProfileDomains = false
-	cfg.CheckInvariants = false
-	cfg.WatchdogWindow = 0
-	cfg.MaxCycles = 0
-	cfg.MaxWallClock = 0
-	cfg.Cancel = nil
 	b, err := json.Marshal(struct {
 		Schema        string
 		Cfg           sim.Config
@@ -91,7 +84,7 @@ func pointCkptKey(cfg sim.Config, opt Options) (string, bool) {
 		Quick         bool
 		CycleByCycle  bool
 		Tag           string
-	}{cacheSchema, cfg, opt.WarmCycles, opt.MeasureCycles, opt.Quick, opt.CycleByCycle, opt.pointTag})
+	}{cacheSchema, sim.StateConfig(cfg), opt.WarmCycles, opt.MeasureCycles, opt.Quick, opt.CycleByCycle, opt.pointTag})
 	if err != nil {
 		return "", false
 	}

@@ -21,14 +21,10 @@ import (
 // Options sets the simulation budget. Quick shrinks runs for tests.
 // Parallel fans each figure's independent simulation points across that
 // many workers (0/1 serial, negative = GOMAXPROCS); results are
-// identical for every worker count. SimWorkers is the second
-// parallelism layer, *within* each simulation point: it sets
-// sim.Config.SimWorkers, fanning every executed tick's per-channel
-// memory phase across that many goroutines (also bit-identical for any
-// value; see DESIGN.md §2.5). The two layers compose — point-level
-// sharding scales with independent points, domain workers with channels
-// per point — but multiplying them oversubscribes small machines, so
-// sweeps typically raise one at a time. CycleByCycle forces the
+// identical for every worker count. Each point itself runs serially on
+// its worker (DESIGN.md §2.5). SimWorkers is kept for source
+// compatibility: the simulator is serial; only 0 and 1 are accepted
+// (sim.New rejects any other value). CycleByCycle forces the
 // reference Tick path instead of fast-forward — counters are identical
 // either way (the sim package proves it), so it exists for
 // cross-checking and speedup benchmarks.
@@ -53,15 +49,6 @@ type Options struct {
 	// never satisfy exact lookups.
 	Sampled bool
 	Sample  sim.SampleConfig
-
-	// ProfileDomains enables sim.Config.ProfileDomains on every point
-	// this harness builds; the per-point histograms are merged
-	// process-wide as points complete (ReadPhaseSpans). Spans are only
-	// recorded on the fast path (CycleByCycle points contribute
-	// nothing), and concurrent points on a sharded runner time-slice
-	// one machine, so the histograms are a profile of where simulated
-	// time goes, not a cycle-exact measurement.
-	ProfileDomains bool
 
 	// CacheDir, when set, enables the content-addressed figure result
 	// cache: each figure's rows are stored under a hash of the model
@@ -137,11 +124,9 @@ func (o Options) withTag(tag string) Options {
 }
 
 // newSystem builds one simulation point's system with the options'
-// per-simulation settings applied. Points that use the fast path should
-// release it with sim.System.Close (measureConcurrent does).
+// per-simulation settings applied.
 func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
 	cfg.SimWorkers = o.SimWorkers
-	cfg.ProfileDomains = o.ProfileDomains
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.MaxWallClock = o.PointTimeout
 	if o.Cancel != nil {
@@ -149,12 +134,6 @@ func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
 	}
 	return sim.New(cfg)
 }
-
-// Process-wide phase-span aggregate (see Options.ProfileDomains).
-var (
-	phaseMu    sync.Mutex
-	phaseSpans sim.PhaseSpans
-)
 
 // Warm-state pool: host-only figure points that share a configuration
 // also share their warm-up work. The first point to warm a given config
@@ -169,49 +148,20 @@ var (
 	warmPool = map[string]*sim.Checkpoint{}
 )
 
-// warmPoolKey fingerprints a point's warm-up: the full simulation
-// config with the state-free knobs zeroed (SimWorkers, ProfileDomains,
-// and the robustness knobs do not affect simulated state; sim.Restore
-// accepts any of them differing) plus the warm-cycle budget.
+// warmPoolKey fingerprints a point's warm-up: the simulated state
+// config (sim.StateConfig; sim.Restore accepts the zeroed knobs
+// differing) plus the warm-cycle budget.
 func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
-	cfg.SimWorkers = 0
-	cfg.ProfileDomains = false
-	cfg.CheckInvariants = false
-	cfg.WatchdogWindow = 0
-	cfg.MaxCycles = 0
-	cfg.MaxWallClock = 0
-	cfg.Cancel = nil
 	b, err := json.Marshal(struct {
 		Schema string
 		Cfg    sim.Config
 		Warm   int64
-	}{cacheSchema, cfg, warm})
+	}{cacheSchema, sim.StateConfig(cfg), warm})
 	if err != nil {
 		return "", false
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), true
-}
-
-// mergePhaseSpans folds one completed point's histograms into the
-// process-wide aggregate.
-func mergePhaseSpans(p *sim.PhaseSpans) {
-	if p == nil {
-		return
-	}
-	phaseMu.Lock()
-	phaseSpans.Merge(p)
-	phaseMu.Unlock()
-}
-
-// ReadPhaseSpans returns a copy of the process-wide phase-span
-// aggregate (empty histograms when no profiled point has completed).
-func ReadPhaseSpans() sim.PhaseSpans {
-	phaseMu.Lock()
-	defer phaseMu.Unlock()
-	var out sim.PhaseSpans
-	out.Merge(&phaseSpans)
-	return out
 }
 
 // DefaultOptions returns the full-fidelity budget. Warm-up must be long
@@ -243,15 +193,12 @@ type Result struct {
 type launcher func() (*ndart.Handle, error)
 
 // measureConcurrent drives a system with an optional NDA relaunch loop
-// through warm-up and measurement. It releases the system's domain
-// executor (if one was started) before returning; the system stays
-// readable for post-run counter extraction.
+// through warm-up and measurement; the system stays readable for
+// post-run counter extraction.
 func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) {
 	if opt.Sampled {
 		return measureSampled(s, it, opt)
 	}
-	defer s.Close()
-	defer mergePhaseSpans(s.PhaseSpans())
 	var h *ndart.Handle
 	var err error
 	relaunch := func() error {
@@ -326,9 +273,9 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	// Host-only points on the fast path share warm-up state through the
 	// pool: fork from a warmed checkpoint when one exists, seed it
 	// otherwise. NDA-driving points are excluded (their launcher holds
-	// handles bound to this system), as are profiled points (a restored
-	// warm-up records no spans) and the cycle-by-cycle cross-check path.
-	if it == nil && !opt.CycleByCycle && !opt.ProfileDomains &&
+	// handles bound to this system), as is the cycle-by-cycle
+	// cross-check path.
+	if it == nil && !opt.CycleByCycle &&
 		opt.WarmCycles > 0 && s.Now() == 0 {
 		if key, ok := warmPoolKey(s.Cfg, opt.WarmCycles); ok {
 			warmMu.Lock()
@@ -422,8 +369,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 // cycles accumulate only in detailed segments), kept for rough scale,
 // not cross-mode comparison.
 func measureSampled(s *sim.System, it launcher, opt Options) (Result, error) {
-	defer s.Close()
-	defer mergePhaseSpans(s.PhaseSpans())
 	if opt.CycleByCycle {
 		return Result{}, fmt.Errorf("experiments: Sampled and CycleByCycle are mutually exclusive")
 	}

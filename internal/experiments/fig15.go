@@ -38,7 +38,6 @@ func CalibrateTiming(scale SVRGScale, ranksPerChannel int, opt Options) (svrg.Ti
 	if err != nil {
 		return t, err
 	}
-	defer s.Close()
 	ag, err := apps.NewAverageGradient(s.RT, apps.AverageGradientConfig{N: scale.N, D: scale.D})
 	if err != nil {
 		return t, err

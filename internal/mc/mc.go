@@ -116,8 +116,8 @@ type Controller struct {
 	// csink, when set, receives completion callbacks instead of having
 	// them invoked inline at issue time (see SetCompletionSink). The sim
 	// package points it at the controller's channel-domain mailbox so a
-	// Tick on a worker goroutine never calls into shared state (the cache
-	// hierarchy, the copy pump, runtime handles); the deferred callbacks
+	// Tick never calls into shared state (the cache hierarchy, the copy
+	// pump, runtime handles) mid-phase; the deferred callbacks
 	// run in the serial cross-channel commit phase of the same cycle.
 	csink func(done func(int64), at int64)
 

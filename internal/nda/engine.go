@@ -236,8 +236,8 @@ func (e *Engine) Tick(now int64) {
 // TickChannel advances one channel's rank NDAs by one DRAM cycle. A
 // channel's NDAs read and write only that channel's state — its host
 // controller (issued-rank, queue-demand, and version reads), its share
-// of the DRAM timing model, and their own FSMs — so distinct channels
-// may tick on concurrent workers. Op completion callbacks are the one
+// of the DRAM timing model, and their own FSMs — so the order in which
+// channels tick does not matter. Op completion callbacks are the one
 // exception, and they divert through the completion sink when set.
 func (e *Engine) TickChannel(ch int, now int64) {
 	host := e.hosts[ch]
@@ -304,8 +304,7 @@ func (e *Engine) NextEvent(now int64) int64 {
 // rank forces that channel's tick (RankBusy), and impure bounds
 // revalidate against that channel's controller version — so one
 // channel's host-queue churn never perturbs another channel's cached
-// bounds. It reads and refreshes only channel-local state, making it
-// safe to call from the channel's domain worker.
+// bounds. It reads and refreshes only channel-local state.
 func (e *Engine) ChannelNextEvent(ch int, now int64) int64 {
 	next := dram.Never
 	host := e.hosts[ch]
@@ -413,7 +412,7 @@ func (e *Engine) MarkAllStale() {
 // §2.11). Work retires in exact FSM order — reads, batch-boundary
 // result-write emission, buffer drains, op completion — but without
 // timing checks, policy throttles, or RNG draws: determinism across
-// runs and worker counts requires the functional path to consume no
+// runs requires the functional path to consume no
 // randomness, and policy effects are timing artifacts the detailed
 // windows re-measure. Row-buffer state warms through dram.Mem.WarmOpen
 // exactly where the exact path would have activated, and the

@@ -64,39 +64,6 @@ func TestComputeHeavyAllocFree(t *testing.T) {
 	}
 }
 
-// TestParallelFrontEndAllocFree extends the zero-allocs contract to
-// the core-sharded front-end (DESIGN.md §2.10): with the executor
-// running, every sub-cycle round — claims, core-local deferred ticks
-// (AccessLocal probes and rollbacks), parked-tick commits — must run
-// from preallocated state. The mixed workload keeps both round kinds
-// hot: channel-domain memory phases and core rounds interleave every
-// tick.
-func TestParallelFrontEndAllocFree(t *testing.T) {
-	cfg := Default(1)
-	cfg.SimWorkers = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	app, err := apps.NewMicroPlaced(s.RT, "copy", (4<<20)/4, ndart.Private)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := app.Iterate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunFast(60_000)
-	if h.Done() {
-		t.Fatal("NDA op finished during warm-up; enlarge the operand")
-	}
-	allocs := testing.AllocsPerRun(5, func() { s.RunFast(5_000) })
-	if allocs != 0 {
-		t.Fatalf("core-sharded steady state allocated %.1f objects per 5k-cycle window, want 0", allocs)
-	}
-}
-
 // TestStallHeavyAllocFree extends the zero-allocs contract to the
 // stall-heavy host path (BenchmarkHostStallHeavy's shape): the 64 MiB
 // random footprints warm the MSHR machinery much more slowly than the

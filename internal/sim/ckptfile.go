@@ -25,8 +25,8 @@
 // digest trailer covers every preceding byte: a torn write, a flipped
 // bit, or a stale partial file surfaces as ErrCorruptCheckpoint at load
 // time, never as a half-restored system. The fingerprint pins the
-// simulated configuration (scheduling knobs like SimWorkers excluded,
-// exactly the fields Restore tolerates differing); restoring under a
+// simulated configuration (StateConfig: exactly the fields Restore
+// tolerates differing are excluded); restoring under a
 // different config is ErrCheckpointMismatch, a caller bug distinct from
 // file damage.
 package sim
@@ -91,21 +91,27 @@ type ckptWire struct {
 	CoreEpoch     []uint64
 }
 
-// ConfigFingerprint hashes the simulated configuration: the full Config
-// with the state-free knobs zeroed (worker count, profiling, robustness
-// limits, and the cancel flag neither affect simulated state nor
-// survive a process anyway — Restore accepts any of them differing).
-// Two configs with equal fingerprints produce interchangeable
-// checkpoint files.
-func ConfigFingerprint(cfg Config) ([sha256.Size]byte, error) {
+// StateConfig returns cfg with the state-free knobs zeroed: the worker
+// count, invariant checking, robustness limits, and the cancel flag
+// neither affect simulated state nor survive a process — Restore
+// accepts any of them differing. It is the one list every
+// state-fingerprinting key (ConfigFingerprint, the experiment runner's
+// warm-pool and mid-point checkpoint keys) hashes through.
+func StateConfig(cfg Config) Config {
 	cfg.SimWorkers = 0
-	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0
 	cfg.MaxCycles = 0
 	cfg.MaxWallClock = 0
 	cfg.Cancel = nil
-	b, err := json.Marshal(cfg)
+	return cfg
+}
+
+// ConfigFingerprint hashes the simulated configuration, StateConfig(cfg).
+// Two configs with equal fingerprints produce interchangeable
+// checkpoint files.
+func ConfigFingerprint(cfg Config) ([sha256.Size]byte, error) {
+	b, err := json.Marshal(StateConfig(cfg))
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("sim: fingerprint config: %w", err)
 	}

@@ -198,11 +198,81 @@ func drive(t *testing.T, w ffWorkload, fast bool, segments int, segCycles int64)
 	return snaps
 }
 
+// wideWorkload is the mixed DOT golden shape on four channels: four
+// channel domains, so the per-channel dispatch and the canonical
+// (channel, FIFO) mailbox drain run over more than two domains.
+func wideWorkload() ffWorkload {
+	w := ffWorkload{
+		name: "mixed-mix1-dot-4ch",
+		cfg: func() Config {
+			c := Default(1)
+			c.Geom.Channels = 4
+			return c
+		},
+	}
+	for _, m := range ffWorkloads() {
+		if m.name == "mixed-mix1-dot" {
+			w.app = m.app
+		}
+	}
+	return w
+}
+
+// missStormWorkload builds one randomized 8-core miss-storm shape:
+// memory-heavy cores with randomized footprints, stream fractions, and
+// dependency mixes, layered under NDA DOT traffic. High MemRatio
+// across 8 cores keeps the 48 LLC MSHRs saturated (Stall
+// classification and rollback), streaming cores train the prefetcher
+// so demand accesses merge into in-flight prefetch MSHRs, and the
+// dependency fraction varies how often issue groups break mid-cycle.
+func missStormWorkload(rng *rand.Rand, name string) ffWorkload {
+	profs := make([]workload.Profile, 8)
+	for i := range profs {
+		profs[i] = workload.Profile{
+			Name:       fmt.Sprintf("storm%d", i),
+			Class:      workload.High,
+			MemRatio:   0.55 + 0.4*rng.Float64(),
+			WriteFrac:  0.05 + 0.5*rng.Float64(),
+			Footprint:  uint64(8+rng.Intn(56)) << 20,
+			StreamFrac: rng.Float64(),
+			Streams:    1 + rng.Intn(8),
+			DepFrac:    0.7 * rng.Float64(),
+		}
+	}
+	seed := rng.Int63()
+	w := ffWorkload{
+		name: name,
+		cfg: func() Config {
+			c := Default(-1)
+			c.HostProfiles = profs
+			c.Seed = seed
+			return c
+		},
+	}
+	for _, m := range ffWorkloads() {
+		if m.name == "mixed-mix1-dot" {
+			w.app = m.app // the DOT kernel, for NDA traffic underneath
+		}
+	}
+	return w
+}
+
 // TestRunFastMatchesRun proves the fast-forward contract: for host-only,
-// NDA-only, and mixed workloads, the skipping path reaches every segment
+// NDA-only, and mixed workloads — plus a 4-channel mixed shape and
+// randomized 8-core miss storms that drive MSHR merges, Stall rollbacks,
+// and probe-stall retries — the skipping path reaches every segment
 // boundary with counters bit-identical to the cycle-by-cycle baseline.
 func TestRunFastMatchesRun(t *testing.T) {
-	for _, w := range ffWorkloads() {
+	ws := append(ffWorkloads(), wideWorkload())
+	rng := rand.New(rand.NewSource(0x5707))
+	storms := 3
+	if testing.Short() {
+		storms = 1
+	}
+	for i := 0; i < storms; i++ {
+		ws = append(ws, missStormWorkload(rng, fmt.Sprintf("miss-storm-%d", i)))
+	}
+	for _, w := range ws {
 		t.Run(w.name, func(t *testing.T) {
 			slow := drive(t, w, false, 8, 5_000)
 			fast := drive(t, w, true, 8, 5_000)

@@ -15,7 +15,7 @@ type SampleConfig = sample.Config
 // §2.11): a detailed prime segment, then cfg.Windows repetitions of
 // functional fast-forward, detailed warm-up, and a measured detailed
 // window. Detailed segments run through the exact StepFast machinery —
-// bit-identical to RunFast at any worker count — so the approximation
+// bit-identical to RunFast — so the approximation
 // lives entirely in the fast-forward jumps: host instructions retire
 // functionally at the rate the previous detailed segment measured
 // (warming cache tags, dirty bits, and DRAM row state along the way),
@@ -25,7 +25,7 @@ type SampleConfig = sample.Config
 //
 // The whole schedule is deterministic: fast-forward consumes no
 // randomness and detailed windows are bit-exact, so a fixed-seed config
-// yields byte-identical results across runs and SimWorkers counts.
+// yields byte-identical results across runs.
 //
 // Incompatible with Config.NDA.VerifyFSM (the host-side replica FSM
 // predicts from timing state the functional drain does not advance) —
@@ -116,7 +116,7 @@ func (s *System) RunSampledFunc(cfg SampleConfig, onWindow func(window int) erro
 // pairs (an odd trailing window gets 0), so the schedule's total span
 // is exactly Windows·FF and Config.TotalCycles stays an identity, and
 // they depend only on the window index, so sampled runs remain
-// byte-identical across runs and worker counts.
+// byte-identical across runs.
 func ffJitter(w int, cfg SampleConfig) int64 {
 	amp := cfg.FF / 4
 	if cfg.Windows < 2 || amp == 0 {

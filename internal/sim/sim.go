@@ -7,8 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -67,38 +65,9 @@ type Config struct {
 	// ModelLaunches models control-register launch packets.
 	ModelLaunches bool
 
-	// SimWorkers sets the executor's worker count for the fast path
-	// (RunFast/StepFast). Workers fan both parallel phases of each
-	// executed tick: the per-channel memory phase (one domain at a time
-	// per worker) and the core-local part of every CPU sub-cycle in
-	// the front-end (one core at a time per worker; DESIGN.md §2.10).
-	// 0 or 1 runs everything inline, negative means one worker per
-	// available CPU (the same convention as the experiment runner's
-	// Parallel), and values above max(channels, cores) are clamped.
-	// Results are bit-identical for every worker count — domains share
-	// no mutable state during the memory phase, cores touch only their
-	// private ROB/L1/L2 during the local sub-cycle part, and all
-	// cross-channel and shared-path effects are applied in a canonical
-	// order at the serial commit points. The reference Run path never
-	// uses workers. Call Close when done with a system built with
-	// SimWorkers > 1 to release the worker goroutines.
+	// SimWorkers is kept for source compatibility: the simulator is
+	// serial; only 0 and 1 are accepted, and New rejects any other value.
 	SimWorkers int
-
-	// ProfileDomains enables cheap per-domain phase-span counters on the
-	// fast path: every executed tick's per-channel memory phase and
-	// front end (commit, runtime, CPU-credit loop) record their
-	// wall-clock span into power-of-two-nanosecond histograms
-	// (PhaseSpans), with each CPU sub-cycle additionally split into its
-	// core-local and shared-commit parts — the directly measured
-	// parallelizable fraction of the front end. The executor's ceiling
-	// is the slowest domain (or core) per round, so the histograms show
-	// whether a workload is bounded by one hot channel, by the
-	// sub-cycle commit loop, or by nothing the workers can help with.
-	// Profiled runs take the split front-end path even at one worker
-	// (bit-identical by construction, pinned by
-	// TestProfileDomainsNeutral). Off by default: the tick loop then
-	// pays a single nil check per phase.
-	ProfileDomains bool
 
 	Seed int64
 
@@ -139,78 +108,6 @@ type Config struct {
 	// by snapshots, fingerprints, and cache keys.
 	Cancel *atomic.Bool
 }
-
-// PhaseSpans is the domain-phase profiling result (Config.
-// ProfileDomains): per-channel memory-phase tick-span histograms and
-// front-end span histograms. Bucket i counts spans in [2^(i-1), 2^i)
-// nanoseconds. Front covers the whole post-barrier tick portion
-// (commit + runtime + CPU window) per executed tick; FrontLocal and
-// FrontShared split each CPU sub-cycle of that window into its
-// core-local part (private-hit ticks — the fraction the core-sharded
-// executor parallelizes, DESIGN.md §2.10) and its serial commit part
-// (deferred shared-path accesses plus probe-stall retries), one
-// histogram entry per executed sub-cycle. Profiled runs always take
-// the split front-end path — inline at one worker — so the split is
-// measurable before and after sharding, on any machine.
-type PhaseSpans struct {
-	Domains     [][]int64 // [channel][bucket]
-	Front       []int64   // commit + runtime + CPU phases, per tick
-	FrontLocal  []int64   // core-local sub-cycle part, per sub-cycle
-	FrontShared []int64   // sub-cycle commit loop, per sub-cycle
-}
-
-// phaseBuckets bounds the histograms: 2^24 ns ≈ 16 ms per tick-phase,
-// far beyond any real span.
-const phaseBuckets = 25
-
-// bucketNS files a span into its power-of-two bucket.
-func bucketNS(d time.Duration) int {
-	b := bits.Len64(uint64(d.Nanoseconds()))
-	if b >= phaseBuckets {
-		b = phaseBuckets - 1
-	}
-	return b
-}
-
-// Merge accumulates o into p, growing the domain list as needed (the
-// experiment runner merges points with differing channel counts).
-func (p *PhaseSpans) Merge(o *PhaseSpans) {
-	if o == nil {
-		return
-	}
-	for len(p.Domains) < len(o.Domains) {
-		p.Domains = append(p.Domains, make([]int64, phaseBuckets))
-	}
-	if p.Front == nil {
-		p.Front = make([]int64, phaseBuckets)
-	}
-	if p.FrontLocal == nil {
-		p.FrontLocal = make([]int64, phaseBuckets)
-	}
-	if p.FrontShared == nil {
-		p.FrontShared = make([]int64, phaseBuckets)
-	}
-	for d, hist := range o.Domains {
-		for b, n := range hist {
-			p.Domains[d][b] += n
-		}
-	}
-	for b, n := range o.Front {
-		p.Front[b] += n
-	}
-	for b, n := range o.FrontLocal {
-		p.FrontLocal[b] += n
-	}
-	for b, n := range o.FrontShared {
-		p.FrontShared[b] += n
-	}
-}
-
-// PhaseSpans returns the accumulated phase-span histograms, or nil when
-// the system was built without Config.ProfileDomains. The system's
-// workers write only their own domain's slots, so reading is safe once
-// the system is quiescent (between Run/RunFast calls).
-func (s *System) PhaseSpans() *PhaseSpans { return s.prof }
 
 // Default returns the paper's baseline configuration running the given
 // mix with bank partitioning enabled.
@@ -268,15 +165,7 @@ type System struct {
 	coreDue   []bool
 	coreEpoch []uint64
 
-	// coreParked is per-sub-cycle scratch for the sharded front-end
-	// (DESIGN.md §2.10): core i's slot is set when its TickDeferred
-	// parked on a shared-path access and the sub-cycle commit loop owes
-	// it a FinishTick. Written only by the goroutine running core i's
-	// coreSubTick, read by the coordinator after the round barrier.
-	coreParked []bool
-
-	// doms holds one channel domain per memory channel: the unit of
-	// parallelism in the memory phase. Domain d owns MCs[d], the rank
+	// doms holds one channel domain per memory channel. Domain d owns MCs[d], the rank
 	// NDAs of channel d, and channel d's share of Mem; its mailbox
 	// (outbox) collects the completion callbacks the domain's tick would
 	// otherwise have invoked inline — fills into the shared cache
@@ -290,24 +179,6 @@ type System struct {
 	// deriving them); stepRTWake is the runtime bound.
 	stepNDAWake []int64
 	stepRTWake  int64
-
-	// exec is the work-stealing worker pool (nil when SimWorkers <= 1
-	// or the system has fewer than two domains AND fewer than two
-	// cores); started lazily by the first fast-path tick. It fans both
-	// the per-tick channel-domain memory phase and the per-sub-cycle
-	// core-local front-end rounds. domOrder, when non-nil, permutes the
-	// serial memory-phase dispatch order (test hook: domains are
-	// independent, so any order must be bit-identical); coreOrder does
-	// the same for the core-local part of each CPU sub-cycle (and, like
-	// the profiler, forces the split front-end path at one worker).
-	exec      *domainExec
-	execInit  bool
-	domOrder  []int
-	coreOrder []int
-
-	// prof collects phase-span histograms when Config.ProfileDomains is
-	// set (nil otherwise; see PhaseSpans).
-	prof *PhaseSpans
 
 	// robust holds the watchdog/deadline bookkeeping (robust.go); not
 	// part of checkpointed state.
@@ -341,6 +212,9 @@ func (d *domain) push(fn func(int64), at int64) {
 // returned as an error, not a panic: every figure point flows through
 // here, and a sweep must be able to reject a bad point without dying.
 func New(cfg Config) (*System, error) {
+	if cfg.SimWorkers != 0 && cfg.SimWorkers != 1 {
+		return nil, fmt.Errorf("sim: invalid config: SimWorkers %d (the simulator is serial; only 0 and 1 are accepted)", cfg.SimWorkers)
+	}
 	base, err := addrmap.NewSkylakeLikeChecked(cfg.Geom)
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
@@ -414,18 +288,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.coreDue = make([]bool, len(s.Cores))
 	s.coreEpoch = make([]uint64, len(s.Cores))
-	s.coreParked = make([]bool, len(s.Cores))
 	s.stepNDAWake = make([]int64, len(s.MCs))
-	if cfg.ProfileDomains {
-		s.prof = &PhaseSpans{
-			Front:       make([]int64, phaseBuckets),
-			FrontLocal:  make([]int64, phaseBuckets),
-			FrontShared: make([]int64, phaseBuckets),
-		}
-		for range s.MCs {
-			s.prof.Domains = append(s.prof.Domains, make([]int64, phaseBuckets))
-		}
-	}
 	s.doms = make([]domain, len(s.MCs))
 	for d := range s.doms {
 		dom := &s.doms[d]
@@ -435,17 +298,9 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Close releases the executor's worker goroutines (a no-op for systems
-// without a started executor). The system stays usable afterwards;
-// subsequent fast-path ticks run the memory phase and the front-end
-// sub-cycles inline.
-func (s *System) Close() {
-	if s.exec != nil {
-		s.exec.stop()
-		s.exec = nil
-	}
-	s.execInit = true // closed: do not restart workers
-}
+// Close is a no-op kept for source compatibility: the simulator runs
+// on the caller's goroutine and holds no resources to release.
+func (s *System) Close() {}
 
 // rdSum counts read dequeues across controllers: the only controller
 // activity that can change a probe-stalled core's retry outcome (read-
@@ -469,8 +324,8 @@ func (s *System) Now() int64 { return s.dramCycle }
 // CPUNow returns the current CPU cycle.
 func (s *System) CPUNow() int64 { return s.cpuCycle }
 
-// Tick advances the system one DRAM cycle through the three
-// barrier-separated phases of the domain architecture (DESIGN.md §2.5):
+// Tick advances the system one DRAM cycle through the three ordered
+// phases of the domain architecture (DESIGN.md §2.5):
 //
 //  1. Per-channel memory phase: each channel domain ticks its
 //     controller and then its rank NDAs. Domains read and write only
@@ -488,9 +343,9 @@ func (s *System) CPUNow() int64 { return s.cpuCycle }
 //     shared hierarchy, exactly as many sub-cycles as the clock ratio
 //     owes this DRAM cycle.
 //
-// Run executes the phases serially — it is the oracle the executor is
-// measured against — and RunFast with any worker count must produce
-// bit-identical state.
+// Run ticks every phase of every cycle — it is the oracle — and RunFast,
+// which dispatches only due components, must produce bit-identical
+// state.
 func (s *System) Tick() {
 	now := s.dramCycle
 	for d := range s.doms {
@@ -668,8 +523,8 @@ func (s *System) skipIdle(k int64) {
 // only due components off the survey's cached bounds. It touches only
 // domain-local state — the domain's controller, its channel's DRAM
 // state, its rank NDAs, and the domain's own slots of the wake-cache
-// arrays — so distinct domains may run on concurrent workers; the skips
-// are individually proven no-ops:
+// arrays — so the result is independent of domain order; the skips are
+// individually proven no-ops:
 //
 //   - A controller whose cached bound lies ahead cannot schedule
 //     anything this cycle (the mc.NextEvent contract); only its
@@ -688,17 +543,6 @@ func (s *System) skipIdle(k int64) {
 //     own channel's controller and timing state, and cross-channel
 //     effects are mailboxed until commit.
 func (s *System) domainTick(d int, now int64) {
-	if s.prof != nil {
-		t0 := time.Now()
-		s.domainTickBody(d, now)
-		s.prof.Domains[d][bucketNS(time.Since(t0))]++
-		return
-	}
-	s.domainTickBody(d, now)
-}
-
-// domainTickBody is domainTick minus the optional span measurement.
-func (s *System) domainTickBody(d int, now int64) {
 	c := s.MCs[d]
 	// Dispatch straight off the cached bound: due when it expired or
 	// when any derivation input moved (ticking on a stale bound is
@@ -727,35 +571,15 @@ func (s *System) domainTickBody(d int, now int64) {
 }
 
 // tickDue advances the system one DRAM cycle, dispatching only due
-// components: the per-channel memory phase (on the executor when one is
-// running, inline otherwise), the cross-channel commit, the runtime,
-// then the CPU-credit loop — serial with cores in index order, or
-// core-sharded per sub-cycle (coreWindow) when the executor, profiler,
-// or order hook is active. Phase order matches Tick, with skips that
-// are individually proven no-ops (see domainTick for the memory phase;
-// blocked-core skipping is argued at the dispatch loop below).
+// components: the per-channel memory phase, the cross-channel commit,
+// the runtime, then the CPU-credit loop with cores in index order. Phase
+// order matches Tick, with skips that are individually proven no-ops
+// (see domainTick for the memory phase; blocked-core skipping is argued
+// at the dispatch loop below).
 func (s *System) tickDue() {
 	now := s.dramCycle
-	switch {
-	case s.exec != nil:
-		s.exec.round(now)
-	case s.domOrder != nil:
-		// Test hook: domains are independent, so any dispatch order
-		// must be bit-identical to the canonical one.
-		for _, d := range s.domOrder {
-			s.domainTick(d, now)
-		}
-	default:
-		for d := range s.doms {
-			s.domainTick(d, now)
-		}
-	}
-	// Front-end span (Config.ProfileDomains): everything after the
-	// memory-phase barrier — commit, runtime, and the CPU-credit loop —
-	// is the tick's serial portion, the Amdahl term of the executor.
-	var profT0 time.Time
-	if s.prof != nil {
-		profT0 = time.Now()
+	for d := range s.doms {
+		s.domainTick(d, now)
 	}
 	s.commit()
 	rtWake := s.stepRTWake
@@ -785,14 +609,10 @@ func (s *System) tickDue() {
 	// change state before their wake and skip the window arithmetically.
 	rd := s.rdSum()
 	anyDue := false
-	nDue := 0
 	for i, core := range s.Cores {
 		due := !core.Blocked() || core.WakeCycle() < cEnd
 		s.coreDue[i] = due
 		anyDue = anyDue || due
-		if due {
-			nDue++
-		}
 	}
 	if !anyDue {
 		bulk := true
@@ -817,108 +637,21 @@ func (s *System) tickDue() {
 			}
 			s.cpuCycle = cEnd
 			s.dramCycle++
-			if s.prof != nil {
-				s.prof.Front[bucketNS(time.Since(profT0))]++
-			}
 			return
 		}
 	}
-	if s.exec != nil || s.prof != nil || s.coreOrder != nil {
-		// Core-sharded front-end (DESIGN.md §2.10): the split path runs
-		// whenever the executor could fan sub-cycles — and under the
-		// profiler or the order hook even at one worker, so the
-		// local/shared split is measurable (and fuzzable) anywhere.
-		s.coreWindow(cEnd, rd, nDue)
-	} else {
-		for cc := s.cpuCycle; cc < cEnd; cc++ {
-			for i, core := range s.Cores {
-				if s.coreDue[i] {
-					// Window-batched retirement: a due core first attempts
-					// the batched cycle (bit-exact to Tick, and touching no
-					// shared state — so it cannot perturb other cores'
-					// probes or the epoch within this lockstep sub-cycle);
-					// cycles whose issue group reaches a memory instruction
-					// fall back to the full Tick. Run never batches — it is
-					// the instruction-at-a-time oracle.
-					if !core.BatchTick(cc) {
-						core.Tick(cc)
-					}
-					continue
-				}
-				if core.ProbeStalled() {
-					e := rd + s.Hier.Ver()
-					if e != s.coreEpoch[i] {
-						core.Tick(cc)
-						if core.Blocked() && core.ProbeStalled() {
-							s.coreEpoch[i] = e
-						} else {
-							// Progressed or changed kind: reference
-							// semantics for the rest of the window.
-							s.coreDue[i] = true
-						}
-						continue
-					}
-				}
-				core.SkipCycles(1)
-			}
-		}
-	}
-	s.cpuCycle = cEnd
-	s.dramCycle++
-	if s.prof != nil {
-		s.prof.Front[bucketNS(time.Since(profT0))]++
-	}
-}
-
-// minParCores bounds when a sub-cycle's core-local round is worth
-// fanning across the executor: below two due cores the round is pure
-// overhead and the window runs the split path inline.
-const minParCores = 2
-
-// coreWindow runs the tick's CPU sub-cycles on the split front-end
-// path (DESIGN.md §2.10). Per sub-cycle, every due core's core-local
-// part runs first — a batched compute cycle or a deferred tick whose
-// shared-path access parks — fanned across the executor when enough
-// cores are due, inline otherwise; then the serial commit loop visits
-// cores in canonical index order, completing parked ticks
-// (FinishTick: the deferred access replays through the full shared
-// path) and running the epoch-gated probe-stall retries exactly where
-// the serial window would. Bit-exactness does not depend on
-// scheduling: local parts read and write only disjoint core-private
-// state — the core's ROB/trace and its private L1/L2, which by the
-// narrowed ver argument never move the memory epoch — so they commute
-// with each other and with every other core's shared suffix, while
-// the suffixes execute serially in the reference order, reading
-// rd+Ver at their canonical positions.
-func (s *System) coreWindow(cEnd int64, rd uint64, nDue int) {
-	var t0 time.Time
 	for cc := s.cpuCycle; cc < cEnd; cc++ {
-		if s.prof != nil {
-			t0 = time.Now()
-		}
-		switch {
-		case s.exec != nil && nDue >= minParCores:
-			s.exec.coreRound(cc)
-		case s.coreOrder != nil:
-			// Test hook: local parts are independent, so any dispatch
-			// order must be bit-identical to the canonical one.
-			for _, i := range s.coreOrder {
-				s.coreSubTick(i, cc)
-			}
-		default:
-			for i := range s.Cores {
-				s.coreSubTick(i, cc)
-			}
-		}
-		if s.prof != nil {
-			s.prof.FrontLocal[bucketNS(time.Since(t0))]++
-			t0 = time.Now()
-		}
 		for i, core := range s.Cores {
 			if s.coreDue[i] {
-				if s.coreParked[i] {
-					s.coreParked[i] = false
-					core.FinishTick(cc)
+				// Window-batched retirement: a due core first attempts
+				// the batched cycle (bit-exact to Tick, and touching no
+				// shared state — so it cannot perturb other cores'
+				// probes or the epoch within this lockstep sub-cycle);
+				// cycles whose issue group reaches a memory instruction
+				// fall back to the full Tick. Run never batches — it is
+				// the instruction-at-a-time oracle.
+				if !core.BatchTick(cc) {
+					core.Tick(cc)
 				}
 				continue
 			}
@@ -930,37 +663,17 @@ func (s *System) coreWindow(cEnd int64, rd uint64, nDue int) {
 						s.coreEpoch[i] = e
 					} else {
 						// Progressed or changed kind: reference
-						// semantics (and due dispatch) for the rest of
-						// the window.
+						// semantics for the rest of the window.
 						s.coreDue[i] = true
-						nDue++
 					}
 					continue
 				}
 			}
 			core.SkipCycles(1)
 		}
-		if s.prof != nil {
-			s.prof.FrontShared[bucketNS(time.Since(t0))]++
-		}
 	}
-}
-
-// coreSubTick runs core i's core-local part of one CPU sub-cycle: a
-// batched compute cycle when possible, otherwise a deferred tick that
-// parks any shared-path access for the commit loop (coreParked).
-// Non-due cores are left entirely to the commit loop — their
-// epoch-gated probe retries and skip bookkeeping must happen at their
-// canonical serial position. This runs on executor workers: it may
-// touch only core i's state and core i's slots of coreDue/coreParked.
-func (s *System) coreSubTick(i int, cc int64) {
-	if !s.coreDue[i] {
-		return
-	}
-	core := s.Cores[i]
-	if !core.BatchTick(cc) {
-		s.coreParked[i] = core.TickDeferred(cc)
-	}
+	s.cpuCycle = cEnd
+	s.dramCycle++
 }
 
 // StepFast advances the system to its next event (clamped to limit) and
@@ -982,20 +695,6 @@ func (s *System) StepFast(limit int64) error {
 		return s.robust.err
 	}
 	s.NDA.SetFastForward(true)
-	if !s.execInit {
-		s.execInit = true
-		req := s.Cfg.SimWorkers
-		if req < 0 {
-			req = runtime.GOMAXPROCS(0)
-		}
-		// The pool is worth starting when either round kind can fan:
-		// workers are clamped to the larger of the domain and core
-		// counts (a 1-channel many-core system still shards its
-		// front-end; extra workers no-op the smaller round kind).
-		if nw := min(req, max(len(s.doms), len(s.Cores))); nw > 1 {
-			s.exec = newDomainExec(s, nw)
-		}
-	}
 	if s.Cfg.MaxCycles > 0 || s.Cfg.MaxWallClock > 0 || s.Cfg.Cancel != nil {
 		if err := s.DeadlineExceeded(); err != nil {
 			return err

@@ -111,7 +111,7 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 
 // Restore overwrites the system's state with the checkpoint. The system
 // must have been built from the same Config the checkpointed system was
-// (SimWorkers and ProfileDomains may differ — they do not affect
+// (the knobs StateConfig zeroes may differ — they do not affect
 // simulated state). Continuing a restored system is bit-identical to
 // continuing the original, on both the reference and fast paths.
 func (s *System) Restore(ck *Checkpoint) {
