@@ -160,42 +160,57 @@ func ffWorkloads() []ffWorkload {
 // harness does, and records a snapshot at each segment boundary.
 func drive(t *testing.T, w ffWorkload, fast bool, segments int, segCycles int64) []string {
 	t.Helper()
-	s, err := New(w.cfg())
+	step := func(s *System, _ int64) error { s.Tick(); return nil }
+	if fast {
+		step = (*System).StepFast
+	}
+	snaps, err := driveWith(w, step, segments, segCycles)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return snaps
+}
+
+// driveWith is drive with the per-step advance supplied by the caller
+// (step gets the current segment's end and must not run past it) and
+// step, launch and construction errors returned rather than reported, so it can run off the test
+// goroutine.
+func driveWith(w ffWorkload, step func(s *System, end int64) error, segments int, segCycles int64) ([]string, error) {
+	s, err := New(w.cfg())
+	if err != nil {
+		return nil, err
 	}
 	var it func() (*ndart.Handle, error)
 	if w.app != nil {
 		if it, err = w.app(s); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	var h *ndart.Handle
-	relaunch := func() {
-		if it == nil {
-			return
+	relaunch := func() error {
+		if it == nil || (h != nil && !h.Done()) {
+			return nil
 		}
-		if h == nil || h.Done() {
-			if h, err = it(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		h, err = it()
+		return err
 	}
-	relaunch()
+	if err := relaunch(); err != nil {
+		return nil, err
+	}
 	var snaps []string
 	for seg := 0; seg < segments; seg++ {
 		end := s.Now() + segCycles
 		for s.Now() < end {
-			if fast {
-				s.StepFast(end)
-			} else {
-				s.Tick()
+			if err := step(s, end); err != nil {
+				return nil, err
 			}
-			relaunch()
+			if err := relaunch(); err != nil {
+				return nil, err
+			}
 		}
 		snaps = append(snaps, snapshot(s))
 	}
-	return snaps
+	return snaps, nil
 }
 
 // wideWorkload is the mixed DOT golden shape on four channels: four
@@ -258,21 +273,12 @@ func missStormWorkload(rng *rand.Rand, name string) ffWorkload {
 }
 
 // TestRunFastMatchesRun proves the fast-forward contract: for host-only,
-// NDA-only, and mixed workloads — plus a 4-channel mixed shape and
-// randomized 8-core miss storms that drive MSHR merges, Stall rollbacks,
-// and probe-stall retries — the skipping path reaches every segment
-// boundary with counters bit-identical to the cycle-by-cycle baseline.
+// NDA-only, and mixed workloads, plus a 4-channel mixed shape, the
+// skipping path reaches every segment boundary with counters
+// bit-identical to the cycle-by-cycle baseline. TestCoreShardMissStorm
+// runs the same check on randomized 8-core miss storms.
 func TestRunFastMatchesRun(t *testing.T) {
-	ws := append(ffWorkloads(), wideWorkload())
-	rng := rand.New(rand.NewSource(0x5707))
-	storms := 3
-	if testing.Short() {
-		storms = 1
-	}
-	for i := 0; i < storms; i++ {
-		ws = append(ws, missStormWorkload(rng, fmt.Sprintf("miss-storm-%d", i)))
-	}
-	for _, w := range ws {
+	for _, w := range append(ffWorkloads(), wideWorkload()) {
 		t.Run(w.name, func(t *testing.T) {
 			slow := drive(t, w, false, 8, 5_000)
 			fast := drive(t, w, true, 8, 5_000)
