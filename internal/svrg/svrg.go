@@ -75,16 +75,18 @@ func (m *Model) Clone() *Model {
 
 // logits computes x*W into out (length K).
 func (m *Model) logits(x []float32, out []float64) {
-	for c := 0; c < m.K; c++ {
+	k := len(out)
+	w := m.W[:len(x)*k]
+	for c := range out {
 		out[c] = 0
 	}
-	for j := 0; j < m.D; j++ {
-		xj := float64(x[j])
+	for j, xv := range x {
+		xj := float64(xv)
 		if xj == 0 {
 			continue
 		}
-		row := m.W[j*m.K : j*m.K+m.K]
-		for c := 0; c < m.K; c++ {
+		row := w[j*k:][:k]
+		for c := range out {
 			out[c] += xj * row[c]
 		}
 	}
@@ -112,10 +114,35 @@ func softmax(z []float64) float64 {
 
 // Loss returns the regularized mean cross-entropy over the dataset.
 func (m *Model) Loss(ds *Dataset) float64 {
-	z := make([]float64, m.K)
+	return m.summarize(ds, make([]float64, m.D*m.K), nil)
+}
+
+// FullGradient computes the exact regularized gradient at the model (the
+// summarization task the NDAs accelerate).
+func (m *Model) FullGradient(ds *Dataset) []float64 {
+	g := make([]float64, m.D*m.K)
+	m.summarize(ds, g, nil)
+	return g
+}
+
+// summarize makes the one pass over the dataset that a snapshot needs:
+// it writes the regularized full gradient into g (D*K), each row's
+// residual softmax(x*W) - onehot(y) into res (N*K; nil skips them), and
+// returns the regularized loss.
+func (m *Model) summarize(ds *Dataset, g, res []float64) float64 {
+	k := m.K
+	for i := range g {
+		g[i] = 0
+	}
+	scratch := make([]float64, k)
 	var total float64
 	for i := 0; i < ds.N; i++ {
 		x := ds.X[i*m.D : (i+1)*m.D]
+		z := scratch
+		if res != nil {
+			z = res[i*k:]
+		}
+		z = z[:k]
 		m.logits(x, z)
 		softmax(z)
 		p := z[ds.Y[i]]
@@ -123,56 +150,26 @@ func (m *Model) Loss(ds *Dataset) float64 {
 			p = 1e-300
 		}
 		total += -math.Log(p)
-	}
-	var reg float64
-	for _, w := range m.W {
-		reg += w * w
-	}
-	return total/float64(ds.N) + 0.5*m.Lambda*reg
-}
-
-// FullGradient computes the exact regularized gradient at the model (the
-// summarization task the NDAs accelerate).
-func (m *Model) FullGradient(ds *Dataset) []float64 {
-	g := make([]float64, m.D*m.K)
-	z := make([]float64, m.K)
-	for i := 0; i < ds.N; i++ {
-		x := ds.X[i*m.D : (i+1)*m.D]
-		m.logits(x, z)
-		softmax(z)
 		z[ds.Y[i]] -= 1
-		for j := 0; j < m.D; j++ {
-			xj := float64(x[j])
+		for j, xv := range x {
+			xj := float64(xv)
 			if xj == 0 {
 				continue
 			}
-			row := g[j*m.K : j*m.K+m.K]
-			for c := 0; c < m.K; c++ {
+			row := g[j*k:][:k]
+			for c := range row {
 				row[c] += xj * z[c]
 			}
 		}
 	}
 	inv := 1 / float64(ds.N)
-	for i := range g {
-		g[i] = g[i]*inv + m.Lambda*m.W[i]
+	var reg float64
+	g = g[:len(m.W)]
+	for i, w := range m.W {
+		g[i] = g[i]*inv + m.Lambda*w
+		reg += w * w
 	}
-	return g
-}
-
-// sampleGradInto writes sample i's regularized gradient contribution
-// into buf (D*K), reusing z for probabilities.
-func (m *Model) sampleGradInto(ds *Dataset, i int, z, buf []float64) {
-	x := ds.X[i*m.D : (i+1)*m.D]
-	m.logits(x, z)
-	softmax(z)
-	z[ds.Y[i]] -= 1
-	for j := 0; j < m.D; j++ {
-		xj := float64(x[j])
-		row := buf[j*m.K : j*m.K+m.K]
-		for c := 0; c < m.K; c++ {
-			row[c] = xj * z[c]
-		}
-	}
+	return total/float64(ds.N) + 0.5*m.Lambda*reg
 }
 
 // Timing carries the simulated execution times (seconds) of each SVRG
@@ -224,22 +221,41 @@ type RunConfig struct {
 	Timing   Timing
 }
 
+// snapshot is an SVRG snapshot with what its summarization pass
+// produced: the correction term g and the per-row residuals, which the
+// inner loop reads instead of recomputing the snapshot's logits.
+type snapshot struct {
+	m   *Model
+	g   []float64 // regularized full gradient at m (D*K)
+	res []float64 // residual softmax(x*W) - onehot(y) of each row at m (N*K)
+}
+
+// take overwrites the snapshot with the model and summarizes it,
+// returning the model's loss.
+func (s *snapshot) take(ds *Dataset, m *Model) float64 {
+	if s.m == nil {
+		s.m = m.Clone()
+		s.g = make([]float64, len(m.W))
+		s.res = make([]float64, ds.N*ds.K)
+	} else {
+		copy(s.m.W, m.W)
+	}
+	return s.m.summarize(ds, s.g, s.res)
+}
+
 // Run trains and returns the convergence trajectory (loss after each
 // outer iteration against cumulative simulated time).
 func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 	m := NewModel(ds.D, ds.K, lambda)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dk := ds.D * ds.K
+	k := ds.K
 
-	snap := m.Clone()          // s: snapshot the correction is computed at
-	g := snap.FullGradient(ds) // g: correction term for snap
-	prevSnap := snap           // delayed update: one epoch behind
-	prevG := g
-	vel := make([]float64, dk) // momentum buffer
-
-	z := make([]float64, ds.K)
-	gw := make([]float64, dk)
-	gs := make([]float64, dk)
+	snap := new(snapshot) // s and its correction term g
+	loss := snap.take(ds, m)
+	prev := snap                     // delayed update: one epoch behind
+	vel := make([]float64, len(m.W)) // momentum buffer
+	zw := make([]float64, k)
+	mom, lr := cfg.Momentum, cfg.LR
 
 	var now float64
 	// Initial summarization cost.
@@ -249,26 +265,38 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 	default:
 		now += cfg.Timing.SummarizeNDA
 	}
-	pts := []Point{{now, m.Loss(ds)}}
+	pts := []Point{{now, loss}}
 
 	for outer := 0; outer < cfg.Outers; outer++ {
 		epoch := cfg.Epoch
-		useSnap, useG := snap, g
+		use := snap
 		if cfg.Mode == DelayedUpdate {
 			// Summarization of `snap` runs on the NDAs concurrently;
-			// the host iterates with the stale (prevSnap, prevG) for
-			// as long as the summarization takes.
+			// the host iterates with the stale `prev` for as long as
+			// the summarization takes.
 			epoch = int(cfg.Timing.SummarizeNDA/cfg.Timing.InnerIter) + 1
-			useSnap, useG = prevSnap, prevG
+			use = prev
 		}
 		for it := 0; it < epoch; it++ {
+			// grad = x*(zw - zs) + g + lambda*(W - sW) per element, with
+			// zw the model's residual on sample i and zs the snapshot's.
+			// Each product is rounded on its own, so the result does not
+			// depend on whether the target fuses multiply-adds.
 			i := rng.Intn(ds.N)
-			m.sampleGradInto(ds, i, z, gw)
-			useSnap.sampleGradInto(ds, i, z, gs)
-			for j := 0; j < dk; j++ {
-				grad := gw[j] - gs[j] + useG[j] + m.Lambda*(m.W[j]-useSnap.W[j])
-				vel[j] = cfg.Momentum*vel[j] - cfg.LR*grad
-				m.W[j] += vel[j]
+			x := ds.X[i*ds.D : (i+1)*ds.D]
+			m.logits(x, zw)
+			softmax(zw)
+			zw[ds.Y[i]] -= 1
+			zw, zs := zw[:k], use.res[i*k:][:k]
+			for j, xv := range x {
+				xj := float64(xv)
+				o := j * k
+				w, sw, g, v := m.W[o:][:k], use.m.W[o:][:k], use.g[o:][:k], vel[o:][:k]
+				for c := range w {
+					grad := float64(xj*zw[c]) - float64(xj*zs[c]) + g[c] + lambda*(w[c]-sw[c])
+					v[c] = mom*v[c] - lr*grad
+					w[c] += v[c]
+				}
 			}
 		}
 
@@ -276,22 +304,23 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 		switch cfg.Mode {
 		case HostOnly:
 			now += float64(epoch)*cfg.Timing.InnerIter + cfg.Timing.SummarizeHost
-			snap = m.Clone()
-			g = snap.FullGradient(ds)
 		case Accelerated:
 			// Serialized: host idles while NDAs summarize.
 			now += float64(epoch)*cfg.Timing.InnerIter + cfg.Timing.SummarizeNDA
-			snap = m.Clone()
-			g = snap.FullGradient(ds)
 		case DelayedUpdate:
 			// Parallel: the epoch's wall time is the summarization
 			// time (inner loop fully overlapped) plus the exchange.
+			// The old snapshot's summary is promoted; the new snapshot
+			// reuses the buffers of the one it retires (fresh ones the
+			// first time, when both are the initial snapshot).
 			now += cfg.Timing.SummarizeNDA + cfg.Timing.Exchange
-			prevSnap, prevG = snap, snap.FullGradient(ds)
-			snap = m.Clone()
-			g = prevG // not used until promoted
+			next := prev
+			if next == snap {
+				next = new(snapshot)
+			}
+			prev, snap = snap, next
 		}
-		pts = append(pts, Point{now, m.Loss(ds)})
+		pts = append(pts, Point{now, snap.take(ds, m)})
 	}
 	return pts
 }

@@ -130,3 +130,39 @@ func TestModeStrings(t *testing.T) {
 		t.Error("mode strings wrong")
 	}
 }
+
+// TestRunInnerLoopAllocFree checks that the inner loop allocates
+// nothing: quadrupling every epoch at the same outer count must not
+// change Run's allocation count.
+func TestRunInnerLoopAllocFree(t *testing.T) {
+	ds := smallDataset()
+	for _, mode := range []Mode{HostOnly, Accelerated, DelayedUpdate} {
+		allocs := func(scale int) float64 {
+			cfg := RunConfig{Mode: mode, Epoch: scale * ds.N, LR: 0.05, Momentum: 0.9, Outers: 3, Seed: 1,
+				Timing: Timing{SummarizeHost: 1e-3, SummarizeNDA: 1e-3, InnerIter: 4e-6 / float64(scale)}}
+			return testing.AllocsPerRun(3, func() { Run(ds, 1e-3, cfg) })
+		}
+		if a1, a4 := allocs(1), allocs(4); a1 != a4 {
+			t.Errorf("%v: %v allocs at epoch N, %v at epoch 4N", mode, a1, a4)
+		}
+	}
+}
+
+// runSink keeps BenchmarkRun's result live.
+var runSink []Point
+
+// BenchmarkRun times one training run per mode at the quick Fig 15
+// scale, without the simulator.
+func BenchmarkRun(b *testing.B) {
+	ds := Synthetic(512, 128, 10, 7)
+	tm := Timing{SummarizeHost: 1e-3, SummarizeNDA: 2e-4, InnerIter: 1e-6, Exchange: 2e-6}
+	for _, mode := range []Mode{HostOnly, Accelerated, DelayedUpdate} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := RunConfig{Mode: mode, Epoch: ds.N, LR: 0.05, Momentum: 0.9, Outers: 10, Seed: 99, Timing: tm}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runSink = Run(ds, 1e-3, cfg)
+			}
+		})
+	}
+}
